@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "util/engine_tuning.h"
+#include "util/insertion_sort.h"
 #include "util/logging.h"
 
 namespace pad::battery {
@@ -59,19 +59,15 @@ ChargeController::recharge(std::vector<BatteryUnit *> &units,
 
     // Collect candidates ordered lowest SOC first so that the most
     // vulnerable units recover first when headroom is scarce. This
-    // runs per rack per step; the Optimized profile reuses a sort
-    // scratch and skips the (identity) sort of single-unit fleets.
-    const bool scratch = engineTuning().stepScratchReuse;
-    std::vector<std::size_t> localOrder;
-    std::vector<std::size_t> &order =
-        scratch ? orderScratch_ : localOrder;
+    // runs per rack per step, so it sorts a reused scratch in place;
+    // ties keep index order.
+    std::vector<std::size_t> &order = orderScratch_;
     order.resize(units.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
-    if (!scratch || units.size() > 1)
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return units[a]->soc() < units[b]->soc();
-                         });
+    insertionSort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      return units[a]->soc() < units[b]->soc();
+                  });
 
     Joules absorbed = 0.0;
     Watts remaining = headroom;

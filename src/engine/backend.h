@@ -1,31 +1,22 @@
 /**
  * @file
- * Explicit engine-backend selection API.
+ * Explicit engine-backend selection API: callers pick a
+ * BackendKind, a factory prepares and creates a ClusterEngine, and
+ * nothing about the choice leaks into other runs or threads.
  *
- * PR 4's EngineTuning switches select scalar hot-path optimizations
- * through a (now thread-local) mutable block — good for measuring
- * individual switches, bad as a process-wide mode selector. This
- * header replaces that global mutation path with an explicit,
- * per-run interface: callers pick a BackendKind, a factory prepares
- * and creates a ClusterEngine, and nothing about the choice leaks
- * into other runs or threads.
+ * Two backends exist:
  *
- * Three backends exist:
- *
- *  - Baseline   — the scalar core::DataCenter with every tuning
- *                 switch off (the pre-optimization reference).
- *  - Optimized  — the scalar core::DataCenter with the default
- *                 switches on; bit-identical outputs to Baseline.
- *                 This is the default backend.
+ *  - Optimized  — the scalar core::DataCenter, one object per rack
+ *                 component. This is the default backend.
  *  - Soa        — the structure-of-arrays batch engine: rack,
  *                 battery and server state in parallel arrays, the
  *                 per-tick KiBaM step / demand evaluation / µDEB
  *                 shaving as batch loops, arena-backed scratch, and
- *                 counter-based RNG streams. Physically equivalent
- *                 to the scalar engines (energy conservation, SoC
- *                 bounds, survival agreement within tolerance) but
- *                 not bit-identical: its per-rack summation order
- *                 differs by design.
+ *                 counter-based RNG streams. Both engines run the
+ *                 same KiBaM kernel (battery/kibam.h); the SoA
+ *                 engine's per-rack summation order differs by
+ *                 design, so it is physically equivalent to the
+ *                 scalar engine rather than bit-identical.
  */
 
 #ifndef PAD_ENGINE_BACKEND_H
@@ -52,15 +43,13 @@ namespace pad::engine {
 
 /** Selectable simulation engines. */
 enum class BackendKind {
-    /** Scalar engine, every hot-path optimization off. */
-    Baseline,
-    /** Scalar engine, default optimizations on (the default). */
+    /** Scalar engine (the default). */
     Optimized,
     /** Structure-of-arrays batch engine (opt-in). */
     Soa,
 };
 
-/** Canonical lower-case backend name ("baseline"/"optimized"/"soa"). */
+/** Canonical lower-case backend name ("optimized"/"soa"). */
 const char *backendName(BackendKind kind);
 
 /** Parse a backend name; nullopt when unknown. */

@@ -1,45 +1,7 @@
 #include "engine/scalar_engine.h"
 
-#include "util/logging.h"
 
 namespace pad::engine {
-
-namespace {
-
-EngineTuning
-tuningFor(BackendKind kind)
-{
-    EngineTuning t; // defaults == Optimized
-    if (kind == BackendKind::Baseline) {
-        t.kibamCoeffCache = false;
-        t.kibamScalarCrossing = false;
-        t.kibamNewtonCrossing = false;
-        t.serverPowerSharedEval = false;
-        t.tickDemandCache = false;
-        t.stepScratchReuse = false;
-        t.eventPoolAllocation = false;
-    }
-    return t;
-}
-
-std::unique_ptr<core::DataCenter>
-buildUnder(const EngineTuning &tuning, const core::DataCenterConfig &config,
-           const trace::Workload *workload)
-{
-    // The DataCenter latches parts of the tuning block (demand unit
-    // cache) at construction, so construction itself runs guarded.
-    engineTuning() = tuning;
-    return std::make_unique<core::DataCenter>(config, workload);
-}
-
-} // namespace
-
-ScalarBackend::ScalarBackend(BackendKind kind) : kind_(kind)
-{
-    PAD_ASSERT(kind == BackendKind::Baseline ||
-                   kind == BackendKind::Optimized,
-               "ScalarBackend builds scalar kinds only");
-}
 
 EnginePlan
 ScalarBackend::prepare(const core::DataCenterConfig &config) const
@@ -58,29 +20,24 @@ std::unique_ptr<ClusterEngine>
 ScalarBackend::create(const core::DataCenterConfig &config,
                       const trace::Workload *workload) const
 {
-    return std::make_unique<ScalarEngine>(kind_, config, workload);
+    return std::make_unique<ScalarEngine>(config, workload);
 }
 
-ScalarEngine::ScalarEngine(BackendKind kind,
-                           const core::DataCenterConfig &config,
+ScalarEngine::ScalarEngine(const core::DataCenterConfig &config,
                            const trace::Workload *workload)
-    : kind_(kind), tuning_(tuningFor(kind))
+    : dc_(std::make_unique<core::DataCenter>(config, workload))
 {
-    TuningGuard guard(tuning_);
-    dc_ = buildUnder(tuning_, config, workload);
 }
 
 void
 ScalarEngine::runCoarseUntil(Tick until)
 {
-    TuningGuard guard(tuning_);
     dc_->runCoarseUntil(until);
 }
 
 void
 ScalarEngine::stepCoarse()
 {
-    TuningGuard guard(tuning_);
     dc_->stepCoarse();
 }
 
@@ -106,14 +63,12 @@ core::AttackOutcome
 ScalarEngine::runAttack(attack::TwoPhaseAttacker &attacker,
                         const core::AttackScenario &scenario)
 {
-    TuningGuard guard(tuning_);
     return dc_->runAttack(attacker, scenario);
 }
 
 void
 ScalarEngine::setAllSoc(double soc)
 {
-    TuningGuard guard(tuning_);
     dc_->setAllSoc(soc);
 }
 

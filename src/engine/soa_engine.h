@@ -31,12 +31,13 @@
  *    engine's bytes.
  *
  * Parity contract (asserted by engine_parity_test / soa_backend_test):
- * the physics per rack — KiBaM wells, LVD, µDEB, breaker, meter —
- * uses the scalar components' arithmetic verbatim, but rack power is
- * summed benign-first rather than in server order, and throughput is
- * accounted per rack rather than per server, so outputs against the
- * scalar engines agree physically (energy conservation, SoC bounds,
- * survival within tolerance) without being bit-identical. Battery
+ * the KiBaM wells run the shared kernel (battery/kibam.h) and the
+ * per-rack LVD, µDEB, breaker and meter use the scalar components'
+ * arithmetic verbatim, but rack power is summed benign-first rather
+ * than in server order, and throughput is accounted per rack rather
+ * than per server, so outputs against the scalar engine agree
+ * physically (energy conservation, SoC bounds, survival within
+ * tolerance) without being bit-identical. Battery
  * aging replicates battery/aging_model.cc per rack (cycle + calendar
  * wear arrays, hooks at the same unitDischarge/unitCharge/unitRest
  * sites as BatteryUnit), so `deb.wear` matches the scalar engines
@@ -58,6 +59,7 @@
 #include <string>
 #include <vector>
 
+#include "battery/kibam.h"
 #include "core/security_policy.h"
 #include "core/vdeb.h"
 #include "engine/backend.h"
@@ -129,30 +131,12 @@ class SoaEngine final : public ClusterEngine
     int shards() const { return shards_; }
 
   private:
-    /** Memoized KiBaM closed-form coefficients for one dt. */
-    struct Coeffs {
-        double dt = -1.0;
-        double r = 1.0;       ///< exp(-k * dt)
-        double kt = 0.0;      ///< k * dt
-        double mspDenom = 0.0;
-    };
-
     /** Per-tick power snapshot (arena members, assigned per step). */
     struct StepView {
         double totalPower = 0.0;
         double totalDraw = 0.0;
         double shedSuppressed = 0.0;
     };
-
-    // --- KiBaM batch physics (arithmetic verbatim battery/kibam.cc,
-    //     Optimized profile: coefficient cache + scalar bisection) ---
-    const Coeffs &coeffsFor(double dt) const;
-    void kibamAdvance(std::size_t r, Watts power, double cr, double ckt);
-    double availableAfter(std::size_t r, Watts power, double t) const;
-    double crossingBisect(std::size_t r, Watts power, double dt) const;
-    void clampWells(std::size_t r);
-    Watts kibamMsp(std::size_t r, double dt) const;
-    Joules kibamStep(std::size_t r, Watts power, double dt);
 
     // --- DEB unit protection (battery/battery_unit.cc) ---
     void updateLvd(std::size_t r);
@@ -231,15 +215,12 @@ class SoaEngine final : public ClusterEngine
     int machines_;
 
     // KiBaM parameters shared by every rack cabinet.
-    double capJ_;
-    double kibamC_;
-    double kibamK_;
+    battery::KibamParams kibam_;
     double maxDischarge_;
     double maxCharge_;
     double lvdDisconnectSoc_;
     double lvdReconnectSoc_;
-    mutable std::array<Coeffs, 4> coeffs_;
-    mutable std::size_t coeffsNext_ = 0;
+    mutable battery::KibamCoeffCache coeffs_;
 
     // --- battery wells + protection, one slot per rack ---
     std::vector<double> y1_;

@@ -30,9 +30,12 @@ namespace pad::obs {
 
 namespace detail {
 
-extern thread_local TraceSink *tlsSink;
-extern thread_local Tick tlsClock;
-extern thread_local int tlsJob;
+// constinit: statically initialized, so every access is a plain TLS
+// load rather than a call through the TLS init wrapper (which GCC's
+// UBSan at -O2 misreports as a null-pointer load).
+extern constinit thread_local TraceSink *tlsSink;
+extern constinit thread_local Tick tlsClock;
+extern constinit thread_local int tlsJob;
 
 } // namespace detail
 

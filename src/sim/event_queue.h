@@ -105,8 +105,8 @@ class EventQueue
 
     /**
      * Pre-size the queue for @p events concurrently-live events:
-     * reserves the heap vector and id map and, under pooled
-     * allocation, pre-allocates enough arena blocks. Purely a
+     * reserves the heap vector and id map and pre-allocates enough
+     * arena blocks. Purely a
      * performance hint; the queue still grows on demand (up to
      * maxLiveEvents()).
      */
@@ -147,6 +147,7 @@ class EventQueue
         }
     };
 
+    void addBlock();
     Entry *allocEntry();
     void releaseEntry(Entry *entry);
     Entry *popNextLive();
@@ -157,13 +158,10 @@ class EventQueue
     /**
      * Arena blocks and the free list of recycled entries. Entries
      * live in fixed blocks for the queue's lifetime; a released
-     * entry drops its callback and returns to freeList_. Unused in
-     * heap-allocation mode (pooled_ == false).
+     * entry drops its callback and returns to freeList_.
      */
     std::vector<std::unique_ptr<Entry[]>> blocks_;
     std::vector<Entry *> freeList_;
-    /** Allocation mode, latched from the engine tuning at creation. */
-    bool pooled_;
     /** Entries per arena block, latched from the capacity hint. */
     std::size_t blockSize_;
     std::size_t maxLive_ = 1u << 20;
@@ -177,13 +175,12 @@ class EventQueue
     /**
      * @param capacityHint expected number of concurrently-live
      *     events; sizes the arena block granularity and the initial
-     *     heap/id-map reservations under pooled allocation. Engine
+     *     heap/id-map reservations. Engine
      *     backends surface their per-run sizing through
      *     engine::EnginePlan::eventQueueCapacity. Purely a
      *     performance hint; the queue grows on demand either way.
      */
     explicit EventQueue(std::size_t capacityHint = 256);
-    ~EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 };

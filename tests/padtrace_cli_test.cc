@@ -13,9 +13,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -62,10 +65,30 @@ scalarOf(const JsonValue &stats, const std::string &name)
 }
 
 /**
+ * Path of artifact @p name in this process's own directory. ctest
+ * runs every test case in a separate process, concurrently under -j,
+ * so fixed file names would let one process rewrite a trace while
+ * another reads it. The directory is removed at exit.
+ */
+std::string
+art(const std::string &name)
+{
+    static const struct Dir {
+        std::string path = "padtrace_test_" + std::to_string(::getpid());
+        Dir() { std::filesystem::create_directories(path); }
+        ~Dir()
+        {
+            std::error_code ec;
+            std::filesystem::remove_all(path, ec);
+        }
+    } dir;
+    return dir.path + "/" + name;
+}
+
+/**
  * The fixture runs one traced 22-rack attack through padsim once and
- * shares the artifacts across tests (SetUpTestSuite keeps the suite
- * fast; every file is suite-unique so concurrent ctest binaries
- * cannot collide).
+ * shares the artifacts across the tests of the process
+ * (SetUpTestSuite keeps a whole-binary run fast).
  */
 class PadtraceForensics : public ::testing::Test
 {
@@ -76,9 +99,9 @@ class PadtraceForensics : public ::testing::Test
         ran_ = runCmd(PADSIM_BIN,
                       "--scheme PAD --racks 22 --duration 120"
                       " --detector --quiet"
-                      " --trace ptr_run.jsonl"
-                      " --stats-json ptr_stats.json"
-                      " --prom ptr_metrics.prom");
+                      " --trace " + art("run.jsonl") +
+                      " --stats-json " + art("stats.json") +
+                      " --prom " + art("metrics.prom"));
     }
 
     static int ran_;
@@ -92,14 +115,14 @@ TEST_F(PadtraceForensics, ReportAgreesExactlyWithSimulatorStats)
 {
     ASSERT_EQ(ran_, 0);
     ASSERT_EQ(runCmd(PADTRACE_BIN,
-                     "report --format json ptr_run.jsonl"
-                     " --out ptr_report.json"),
+                     "report --format json " + art("run.jsonl") +
+                     " --out " + art("report.json")),
               0);
 
     std::string error;
-    const auto stats = parseJson(slurp("ptr_stats.json"), &error);
+    const auto stats = parseJson(slurp(art("stats.json")), &error);
     ASSERT_TRUE(stats.has_value()) << error;
-    const auto report = parseJson(slurp("ptr_report.json"), &error);
+    const auto report = parseJson(slurp(art("report.json")), &error);
     ASSERT_TRUE(report.has_value()) << error;
 
     // Survival: padtrace recomputes it from the first attack.overload
@@ -144,7 +167,7 @@ TEST_F(PadtraceForensics, ReportAgreesExactlyWithSimulatorStats)
 TEST_F(PadtraceForensics, PromExpositionPassesGrammarCheck)
 {
     ASSERT_EQ(ran_, 0);
-    const std::string text = slurp("ptr_metrics.prom");
+    const std::string text = slurp(art("metrics.prom"));
     ASSERT_FALSE(text.empty());
     std::string error;
     EXPECT_TRUE(telemetry::validatePromExposition(text, &error))
@@ -161,41 +184,41 @@ TEST_F(PadtraceForensics, CorruptTrailingLinesAreSkippedNotFatal)
     ASSERT_EQ(ran_, 0);
     // Clean-run baseline.
     ASSERT_EQ(runCmd(PADTRACE_BIN,
-                     "summary --format json ptr_run.jsonl"
-                     " --out ptr_clean_summary.json"),
+                     "summary --format json " + art("run.jsonl") +
+                     " --out " + art("clean_summary.json")),
               0);
 
     // Corrupt copy: truncate the final line mid-JSON and append a
     // non-record object plus binary garbage.
-    const std::string full = slurp("ptr_run.jsonl");
+    const std::string full = slurp(art("run.jsonl"));
     ASSERT_GT(full.size(), 100u);
     {
-        std::ofstream out("ptr_corrupt.jsonl",
+        std::ofstream out(art("corrupt.jsonl"),
                           std::ios::binary | std::ios::trunc);
         out << full.substr(0, full.size() - 40);
         out << "\n{\"not\":\"a record\"}\n\x01\x02 broken {{{\n";
     }
     ASSERT_EQ(runCmd(PADTRACE_BIN,
-                     "summary --format json ptr_corrupt.jsonl"
-                     " --out ptr_corrupt_summary.json"),
+                     "summary --format json " + art("corrupt.jsonl") +
+                     " --out " + art("corrupt_summary.json")),
               0);
 
     std::string error;
     const auto clean =
-        parseJson(slurp("ptr_clean_summary.json"), &error);
+        parseJson(slurp(art("clean_summary.json")), &error);
     ASSERT_TRUE(clean.has_value()) << error;
     const auto corrupt =
-        parseJson(slurp("ptr_corrupt_summary.json"), &error);
+        parseJson(slurp(art("corrupt_summary.json")), &error);
     ASSERT_TRUE(corrupt.has_value()) << error;
 
     // The skipped tally is also echoed on stderr (one line), so it
     // is visible even when the report body goes to --out.
     ASSERT_EQ(runCmdErr(PADTRACE_BIN,
-                        "summary --format json ptr_corrupt.jsonl"
-                        " --out ptr_corrupt_summary2.json",
-                        "ptr_corrupt_err.txt"),
+                        "summary --format json " + art("corrupt.jsonl") +
+                        " --out " + art("corrupt_summary2.json"),
+                        art("corrupt_err.txt")),
               0);
-    const std::string stderrText = slurp("ptr_corrupt_err.txt");
+    const std::string stderrText = slurp(art("corrupt_err.txt"));
     EXPECT_NE(stderrText.find("padtrace: skipped"),
               std::string::npos)
         << stderrText;
@@ -214,17 +237,18 @@ TEST_F(PadtraceForensics, TimelineAndMarkdownFormatsWork)
 {
     ASSERT_EQ(ran_, 0);
     EXPECT_EQ(runCmd(PADTRACE_BIN,
-                     "timeline --format csv ptr_run.jsonl"
-                     " --out ptr_timeline.csv"),
+                     "timeline --format csv " + art("run.jsonl") +
+                     " --out " + art("timeline.csv")),
               0);
-    const std::string csv = slurp("ptr_timeline.csv");
+    const std::string csv = slurp(art("timeline.csv"));
     EXPECT_NE(csv.find("t_sec,event,detail"), std::string::npos);
     EXPECT_NE(csv.find("attacker.phase"), std::string::npos);
 
     EXPECT_EQ(runCmd(PADTRACE_BIN,
-                     "report ptr_run.jsonl --out ptr_report.md"),
+                     "report " + art("run.jsonl") + " --out " +
+                         art("report.md")),
               0);
-    const std::string md = slurp("ptr_report.md");
+    const std::string md = slurp(art("report.md"));
     EXPECT_NE(md.find("# padtrace incident report"),
               std::string::npos);
     EXPECT_NE(md.find("Attacker forensics"), std::string::npos);
@@ -257,9 +281,9 @@ TEST(PadtraceCli, MissingTraceIsAOneLineErrorOnStderr)
     // nonzero exit — never a stack trace, never silence.
     ASSERT_EQ(WEXITSTATUS(runCmdErr(PADTRACE_BIN,
                                     "report /does/not/exist.jsonl",
-                                    "ptr_missing_err.txt")),
+                                    art("missing_err.txt"))),
               1);
-    const std::string text = slurp("ptr_missing_err.txt");
+    const std::string text = slurp(art("missing_err.txt"));
     EXPECT_EQ(text.rfind("padtrace: ", 0), 0u) << text;
     EXPECT_NE(text.find("/does/not/exist.jsonl"), std::string::npos)
         << text;
@@ -276,19 +300,19 @@ TEST(PadtraceCli, IncidentsSubcommandRendersArtifacts)
                      "--scheme PAD --racks 22 --duration 120"
                      " --detector --quiet"
                      " --alerts " PAD_RULES_DIR "/pad_default.json"
-                     " --incidents ptr_incidents.jsonl"),
+                     " --incidents " + art("incidents.jsonl")),
               0);
 
     ASSERT_EQ(runCmd(PADTRACE_BIN,
-                     "incidents ptr_incidents.jsonl"
-                     " --out ptr_incidents.md"
-                     " --html ptr_incidents.html"),
+                     "incidents " + art("incidents.jsonl") +
+                     " --out " + art("incidents.md") +
+                     " --html " + art("incidents.html")),
               0);
-    const std::string md = slurp("ptr_incidents.md");
+    const std::string md = slurp(art("incidents.md"));
     EXPECT_NE(md.find("# padtrace incidents"), std::string::npos);
     EXPECT_NE(md.find("incident(s)"), std::string::npos);
 
-    const std::string html = slurp("ptr_incidents.html");
+    const std::string html = slurp(art("incidents.html"));
     EXPECT_EQ(html.rfind("<!doctype html>", 0), 0u);
     EXPECT_NE(html.find("</html>"), std::string::npos);
     EXPECT_EQ(html.find("<script"), std::string::npos);
@@ -297,11 +321,11 @@ TEST(PadtraceCli, IncidentsSubcommandRendersArtifacts)
 
     // JSON mode re-emits the JSONL stream byte-identically.
     ASSERT_EQ(runCmd(PADTRACE_BIN,
-                     "incidents --format json ptr_incidents.jsonl"
-                     " --out ptr_incidents_back.jsonl"),
+                     "incidents --format json " + art("incidents.jsonl") +
+                     " --out " + art("incidents_back.jsonl")),
               0);
-    EXPECT_EQ(slurp("ptr_incidents_back.jsonl"),
-              slurp("ptr_incidents.jsonl"));
+    EXPECT_EQ(slurp(art("incidents_back.jsonl")),
+              slurp(art("incidents.jsonl")));
 
     // A missing incidents file is the same hard-error contract.
     EXPECT_EQ(WEXITSTATUS(runCmd(PADTRACE_BIN,

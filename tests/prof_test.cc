@@ -19,6 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include "counting_new.h"
+
+#include "core/vdeb.h"
 #include "engine/prof_stats.h"
 #include "obs/prof.h"
 #include "obs/trace_sink.h"
@@ -30,36 +33,6 @@
 #include "util/json.h"
 
 using namespace pad;
-
-// ---------------------------------------------------------------------
-// Allocation counting for the zero-cost-when-disabled contract
-// (same global-new idiom as obs_test).
-// ---------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> gAllocations{0};
-}
-
-void *
-operator new(std::size_t size)
-{
-    gAllocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace {
 
@@ -204,6 +177,31 @@ TEST(EngineProfiler, UnsampledAndDetachedScopesCostNothing)
     EXPECT_EQ(gClockReads.load(), 0u);
     EXPECT_EQ(gAllocations.load(), 0u);
     EXPECT_EQ(prof.phase(Phase::KibamBatch).laps, 0u);
+}
+
+TEST(HotPathAllocations, WarmVdebAssignIntoAllocatesNothing)
+{
+    // The vDEB assignment runs every step under capacity sharing. Once
+    // its output and sort scratch are sized, a call must not touch the
+    // heap — std::stable_sort's merge buffer used to allocate here.
+    const core::VdebController vdeb(core::VdebConfig{});
+    std::vector<Joules> soc;
+    for (int r = 0; r < 22; ++r)
+        soc.push_back(1.0e5 * static_cast<double>((r * 7) % 5 + 1));
+    // Shave 40% of what pinning every rack at P_ideal would cover:
+    // the SOC-sorted branch, with ties among equal-SOC racks.
+    const Watts maxPower = 100000.0;
+    const Watts totalPower = maxPower + 0.4 * 800.0 * 22.0;
+    core::VdebAssignment out;
+    vdeb.assignInto(soc, totalPower, maxPower, out);
+    ASSERT_FALSE(out.even);
+    ASSERT_GT(out.shaveTarget, 0.0);
+
+    gAllocations.store(0);
+    for (int i = 0; i < 100; ++i)
+        vdeb.assignInto(soc, totalPower, maxPower, out);
+    EXPECT_EQ(gAllocations.load(), 0u);
+    EXPECT_EQ(out.power, vdeb.assign(soc, totalPower, maxPower).power);
 }
 
 // ---------------------------------------------------------------------

@@ -29,13 +29,13 @@ namespace {
 TEST(EngineBackendApi, NamesRoundTrip)
 {
     for (const BackendKind kind :
-         {BackendKind::Baseline, BackendKind::Optimized,
-          BackendKind::Soa}) {
+         {BackendKind::Optimized, BackendKind::Soa}) {
         const auto parsed =
             engine::backendFromName(engine::backendName(kind));
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(*parsed, kind);
     }
+    EXPECT_FALSE(engine::backendFromName("baseline").has_value());
     EXPECT_FALSE(engine::backendFromName("both").has_value());
     EXPECT_FALSE(engine::backendFromName("").has_value());
     EXPECT_FALSE(engine::backendFromName("SOA").has_value());
@@ -46,8 +46,7 @@ TEST(EngineBackendApi, PlansSizeTheRun)
     const core::DataCenterConfig cfg =
         runner::clusterConfig(core::SchemeKind::Pad);
     for (const BackendKind kind :
-         {BackendKind::Baseline, BackendKind::Optimized,
-          BackendKind::Soa}) {
+         {BackendKind::Optimized, BackendKind::Soa}) {
         const engine::EnginePlan plan =
             engine::backendFor(kind).prepare(cfg);
         EXPECT_TRUE(plan.supported);
@@ -87,8 +86,7 @@ TEST(EngineBackendApi, FactoriesBuildTheirKind)
     const runner::ClusterWorkload cw =
         runner::makeClusterWorkload(1.0);
     for (const BackendKind kind :
-         {BackendKind::Baseline, BackendKind::Optimized,
-          BackendKind::Soa}) {
+         {BackendKind::Optimized, BackendKind::Soa}) {
         const auto engine =
             engine::makeClusterEngine(kind, cfg, cw.workload.get());
         ASSERT_NE(engine, nullptr);
